@@ -93,16 +93,12 @@ pub fn skyline_cmd(a: &ParsedArgs) -> Result<String, String> {
 }
 
 /// Formats a finished solver run: algorithm, selection (+ labels),
-/// solver objective and instrumentation notes, then an honest fresh-
-/// sample evaluation. Shared by `fam select` and `fam solve`.
-/// `eval_indices` are the column indices valid in `fresh` — identical to
-/// the selection except on the reduced path, where the selection holds
-/// original ids but `fresh` only has the kept columns.
+/// solver objective and instrumentation notes, then `rep`, the honest
+/// fresh-sample evaluation. Shared by `fam select` and `fam solve`.
 fn solver_report(
     ds: &Dataset,
     out: &fam::SolveOutput,
-    fresh: &ScoreMatrix,
-    eval_indices: &[usize],
+    rep: &regret::RegretReport,
     n_samples: usize,
     sigma: f64,
 ) -> Result<String, String> {
@@ -123,7 +119,6 @@ fn solver_report(
     for (name, value) in &out.notes {
         report.push_str(&format!("{name}: {value}\n"));
     }
-    let rep = regret::report(fresh, eval_indices).map_err(|e| e.to_string())?;
     let achieved = chernoff_epsilon(n_samples as u64, sigma).map_err(|e| e.to_string())?;
     report.push_str(&format!(
         "arr = {:.6}, rr std-dev = {:.6}, sampled mrr = {:.6} (fresh N = {n_samples})\n\
@@ -194,7 +189,8 @@ pub fn select(a: &ParsedArgs) -> Result<String, String> {
         let out = registry.solve(&spec, &fresh, Some(&ds)).map_err(|e| e.to_string())?;
         (out, fresh)
     };
-    solver_report(&ds, &out, &fresh, &out.selection.indices, n_samples, sigma_of(a)?)
+    let rep = regret::report(&fresh, &out.selection.indices).map_err(|e| e.to_string())?;
+    solver_report(&ds, &out, &rep, n_samples, sigma_of(a)?)
 }
 
 /// `fam solve` — run any registered algorithm by name through the
@@ -236,7 +232,8 @@ pub fn solve(a: &ParsedArgs) -> Result<String, String> {
         let out = registry.solve(&spec, &fresh, Some(&ds)).map_err(|e| e.to_string())?;
         (out, fresh)
     };
-    solver_report(&ds, &out, &fresh, &out.selection.indices, n_samples, sigma_of(a)?)
+    let rep = regret::report(&fresh, &out.selection.indices).map_err(|e| e.to_string())?;
+    solver_report(&ds, &out, &rep, n_samples, sigma_of(a)?)
 }
 
 /// The `--param reduce=skyline|coreset` path of `fam solve`: compute the
@@ -296,16 +293,13 @@ fn solve_reduced(a: &ParsedArgs, ds: &Dataset, spec: &fam::SolverSpec) -> Result
     reduction.remap_output(&mut out).map_err(|e| e.to_string())?;
     out.notes.push(("reduced_from", reduction.source_len() as f64));
     out.notes.push(("reduced_to", reduction.kept().len() as f64));
-    // Evaluate on a fresh tiled sample (same kept universe) for honesty.
-    let (fresh, _) = ScoreMatrix::from_distribution_tiled(
-        ds,
-        dist.as_ref(),
-        n_samples,
-        &mut rng,
-        reduction.kept(),
-    )
-    .map_err(|e| e.to_string())?;
-    let mut report = solver_report(ds, &out, &fresh, &reduced_indices, n_samples, sigma_of(a)?)?;
+    // Evaluate on a fresh sample over the same kept universe for honesty,
+    // streamed: the same bits as reporting on a second tiled build.
+    let kept = reduction.kept();
+    let rep =
+        regret::report_streamed(ds, dist.as_ref(), n_samples, &mut rng, kept, &reduced_indices)
+            .map_err(|e| e.to_string())?;
+    let mut report = solver_report(ds, &out, &rep, n_samples, sigma_of(a)?)?;
     report.push_str(&format!(
         "\nreduction: {} kept {} of {} points ({:.4}% of the database), \
          build max shortfall = {:.6}, mean = {:.6}",
@@ -925,6 +919,56 @@ mod tests {
         )))
         .unwrap_err();
         assert!(err.contains("reduce=none"), "{err}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn reduced_solve_report_text_is_pinned() {
+        // The whole report for fixed seeds, minus the wall-clock line: the
+        // skyline, the tiled build, the solvers and the streamed fresh
+        // report must all keep their answers bit for bit. The figures are
+        // those of a target with hardware FMA (any x86-64 built with
+        // `target-cpu=native` since Haswell, and every aarch64).
+        let path = tmp("reduce_pin.csv");
+        generate(&argv(&format!("--out {path} --n 3000 --d 3 --corr anti --seed 7"))).unwrap();
+        let run = |algo: &str| {
+            let msg = solve(&argv(&format!(
+                "--data {path} --k 4 --algo {algo} --samples 300 --seed 11 --param reduce=skyline"
+            )))
+            .unwrap();
+            msg.lines().filter(|l| !l.starts_with("query time")).collect::<Vec<_>>().join("\n")
+        };
+        let tail = "reduced_from: 3000\n\
+                    reduced_to: 571\n";
+        let footer = "achieved eps = 0.151743 at confidence 0.9000 (Theorem 4)\n\
+                      reduction: skyline kept 571 of 3000 points (19.0333% of the database), \
+                      build max shortfall = 0.000000, mean = 0.000000";
+        assert_eq!(
+            run("greedy-shrink"),
+            format!(
+                "algorithm: greedy-shrink\n\
+                 selected (4): [108, 280, 747, 2575]\n\
+                 solver objective: 0.017480\n\
+                 iterations: 567\n\
+                 arr_evaluations: 1193\n\
+                 avg_best_change_frac: 0.0011346266901822457\n\
+                 avg_candidates_frac: 0.01748883475086918\n\
+                 {tail}\
+                 arr = 0.014552, rr std-dev = 0.029270, sampled mrr = 0.162471 (fresh N = 300)\n\
+                 {footer}"
+            )
+        );
+        assert_eq!(
+            run("add-greedy"),
+            format!(
+                "algorithm: add-greedy\n\
+                 selected (4): [280, 334, 747, 2575]\n\
+                 solver objective: 0.028730\n\
+                 {tail}\
+                 arr = 0.026171, rr std-dev = 0.039962, sampled mrr = 0.178228 (fresh N = 300)\n\
+                 {footer}"
+            )
+        );
         std::fs::remove_file(&path).ok();
     }
 

@@ -5,7 +5,8 @@
 //! Every dense pass in the workspace is one of four stream shapes:
 //!
 //! * **dot products** over a point's coordinates ([`dot`],
-//!   [`linear_score_row`], [`linear_best`]) — the `O(nN)` scoring pass;
+//!   [`linear_score_row`], [`linear_best`], [`linear_max_columns`]) — the
+//!   `O(nN)` scoring pass;
 //! * **row argmax** ([`row_best`], [`validate_row_best`]) — the per-sample
 //!   best-point pass, fused with validation;
 //! * **ordered folds** ([`lane_sum`], [`lane_max`]) — the evaluator's
@@ -43,6 +44,9 @@ pub const LANES: usize = 4;
 /// re-reads it, and the band granularity of the blocked transposes
 /// (64 × 64 doubles = two 32 KiB half-tiles).
 pub const TILE: usize = 64;
+
+mod columns;
+pub use columns::linear_max_columns;
 
 /// `a * b + acc` with a single rounding where the compilation target has
 /// a hardware fused multiply-add, and the plain two-rounding form where
@@ -686,8 +690,38 @@ mod tests {
                 assert_eq!((bi, bv), serial_first_argmax(&out), "dim {dim}, n {n}: fused best");
                 let (ci, cv) = linear_best(&w, &flat, dim);
                 assert_eq!((ci, cv.to_bits()), (bi, bv.to_bits()), "linear_best must agree");
+                let columns = transpose(&flat, n, dim, dim);
+                let mut mv = [0.0];
+                linear_max_columns(&[&w], &columns, n, &mut mv);
+                assert_eq!(mv[0].to_bits(), bv.to_bits(), "dim {dim}, n {n}: max-only pass");
             }
         }
+    }
+
+    #[test]
+    fn linear_max_columns_is_the_max_of_dot_per_point() {
+        let mut rng = StdRng::seed_from_u64(29);
+        // Sizes straddle the unroll width and (for small dims) the point
+        // tile; 9 and 11 take the runtime-dimension fallback.
+        for dim in [1usize, 2, 5, 6, 8, 9, 11] {
+            for n in [0usize, 1, 7, 8, 9, 17, 200, 3 * 1024 + 5] {
+                let ws: Vec<Vec<f64>> =
+                    (0..3).map(|_| (0..dim).map(|_| rng.gen_range(0.0..1.0)).collect()).collect();
+                let flat: Vec<f64> = (0..n * dim).map(|_| rng.gen_range(0.0..1.0)).collect();
+                let columns = if n == 0 { Vec::new() } else { transpose(&flat, n, dim, dim) };
+                let refs: Vec<&[f64]> = ws.iter().map(|w| w.as_slice()).collect();
+                let mut got = vec![0.0; ws.len()];
+                linear_max_columns(&refs, &columns, n, &mut got);
+                for (w, got) in ws.iter().zip(got) {
+                    let want = (0..n)
+                        .map(|p| dot(w, &flat[p * dim..(p + 1) * dim]))
+                        .fold(f64::NEG_INFINITY, f64::max);
+                    assert_eq!(got.to_bits(), want.to_bits(), "dim {dim}, n {n}");
+                }
+            }
+        }
+        let mut none = [];
+        linear_max_columns(&[], &[], 0, &mut none);
     }
 
     #[test]

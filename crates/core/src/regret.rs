@@ -5,8 +5,12 @@
 //! indices, computing Equation (1) of the paper (and its weighted analogue
 //! for countable `F`, Definition 9).
 
-use crate::error::Result;
-use crate::scores::ScoreSource;
+use rand::RngCore;
+
+use crate::dataset::Dataset;
+use crate::distribution::UtilityDistribution;
+use crate::error::{FamError, Result};
+use crate::scores::{gather_kept, score_row_checked, ScoreSource};
 use crate::stats;
 
 /// `sat(S, f_u)` — the best score within the selection for sample `u`
@@ -15,11 +19,17 @@ use crate::stats;
 pub fn sat<S: ScoreSource + ?Sized>(m: &S, u: usize, selection: &[usize]) -> f64 {
     match m.row_slice(u) {
         // Sample-major fast path: gather from the contiguous row.
-        // fam-lint: allow(K001) -- reference implementation of Definition 2; the hot path is SelectionEvaluator's kernel scan, pinned bit-identical to this shape by evaluator tests
-        Some(row) => selection.iter().fold(0.0f64, |acc, &p| acc.max(row[p])),
+        Some(row) => sat_in_row(row, selection),
         // fam-lint: allow(K001) -- same reference shape for sources without a row mirror
         None => selection.iter().fold(0.0f64, |acc, &p| acc.max(m.score(u, p))),
     }
+}
+
+/// [`sat`] over one sample's score row.
+#[inline]
+fn sat_in_row(row: &[f64], selection: &[usize]) -> f64 {
+    // fam-lint: allow(K001) -- reference implementation of Definition 2; the hot path is SelectionEvaluator's kernel scan, pinned bit-identical to this shape by evaluator tests
+    selection.iter().fold(0.0f64, |acc, &p| acc.max(row[p]))
 }
 
 /// `rr(S, f_u)` — regret ratio of sample `u` with respect to the selection.
@@ -43,7 +53,7 @@ pub fn rr_all<S: ScoreSource + ?Sized>(m: &S, selection: &[usize]) -> Vec<f64> {
 /// Returns an error if the selection is empty, out of bounds, or contains
 /// duplicates.
 pub fn arr<S: ScoreSource + ?Sized>(m: &S, selection: &[usize]) -> Result<f64> {
-    validate_selection(m, selection)?;
+    validate_selection(m.n_points(), selection)?;
     Ok(arr_unchecked(m, selection))
 }
 
@@ -63,7 +73,7 @@ pub fn arr_unchecked<S: ScoreSource + ?Sized>(m: &S, selection: &[usize]) -> f64
 ///
 /// Returns an error for invalid selections.
 pub fn vrr<S: ScoreSource + ?Sized>(m: &S, selection: &[usize]) -> Result<f64> {
-    validate_selection(m, selection)?;
+    validate_selection(m.n_points(), selection)?;
     let rrs = rr_all(m, selection);
     let ws: Vec<f64> = (0..m.n_samples()).map(|u| m.weight(u)).collect();
     Ok(stats::weighted_variance(&rrs, &ws))
@@ -85,7 +95,7 @@ pub fn rr_std_dev<S: ScoreSource + ?Sized>(m: &S, selection: &[usize]) -> Result
 ///
 /// Returns an error for invalid selections.
 pub fn mrr_sampled<S: ScoreSource + ?Sized>(m: &S, selection: &[usize]) -> Result<f64> {
-    validate_selection(m, selection)?;
+    validate_selection(m.n_points(), selection)?;
     // fam-lint: allow(K001) -- mrr is a max (exact under any grouping), computed once per report, not per-candidate
     Ok((0..m.n_samples()).fold(0.0f64, |acc, u| acc.max(rr(m, u, selection))))
 }
@@ -102,7 +112,7 @@ pub fn rr_percentiles<S: ScoreSource + ?Sized>(
     selection: &[usize],
     percentiles: &[f64],
 ) -> Result<Vec<f64>> {
-    validate_selection(m, selection)?;
+    validate_selection(m.n_points(), selection)?;
     let rrs = rr_all(m, selection);
     let mut pairs: Vec<(f64, f64)> =
         rrs.iter().enumerate().map(|(u, &r)| (r, m.weight(u))).collect();
@@ -130,25 +140,74 @@ pub struct RegretReport {
 ///
 /// Returns an error for invalid selections.
 pub fn report<S: ScoreSource + ?Sized>(m: &S, selection: &[usize]) -> Result<RegretReport> {
-    validate_selection(m, selection)?;
-    let mut mean = 0.0;
-    let mut mrr = 0.0f64;
-    let rrs = rr_all(m, selection);
-    for (u, &r) in rrs.iter().enumerate() {
-        mean += m.weight(u) * r;
-        mrr = mrr.max(r);
-    }
-    let dev = |(u, r): (usize, &f64)| m.weight(u) * (r - mean) * (r - mean);
-    // fam-lint: allow(K001) -- diagnostic variance for reports; computed once per call and never compared across binaries
-    let vrr = rrs.iter().enumerate().map(dev).sum::<f64>();
-    Ok(RegretReport { arr: mean, vrr, std_dev: vrr.sqrt(), mrr })
+    validate_selection(m.n_points(), selection)?;
+    Ok(fold_report(&rr_all(m, selection), |u| m.weight(u)))
 }
 
-fn validate_selection<S: ScoreSource + ?Sized>(m: &S, selection: &[usize]) -> Result<()> {
-    if selection.is_empty() {
-        return Err(crate::error::FamError::InvalidK { k: 0, n: m.n_points() });
+/// [`report`] of `selection` on a fresh tiled sample, streamed: the same
+/// bits as `report(&ScoreMatrix::from_distribution_tiled(dataset, dist,
+/// n_samples, rng, keep)?.0, selection)` — the same sample stream, the
+/// same scores and best per sample, the same fold — without the
+/// `N × keep.len()` matrix or a pass over the discarded points. Each
+/// sample is scored into one reused row over the kept points, and only
+/// its regret ratio is kept. `selection` indexes the kept points, as it
+/// would the tiled matrix's columns.
+///
+/// # Errors
+///
+/// Returns an error when `n_samples == 0`, `keep` is empty / out of
+/// bounds / not strictly ascending, the selection is invalid for the kept
+/// universe (checked before any sampling), or a sampled function is
+/// degenerate on the kept universe — the same error the tiled build
+/// returns for that sample.
+pub fn report_streamed(
+    dataset: &Dataset,
+    dist: &dyn UtilityDistribution,
+    n_samples: usize,
+    rng: &mut dyn RngCore,
+    keep: &[usize],
+    selection: &[usize],
+) -> Result<RegretReport> {
+    if n_samples == 0 {
+        return Err(FamError::InvalidParameter {
+            name: "n_samples",
+            message: "must be at least 1".into(),
+        });
     }
-    crate::selection::validate_indices(selection, m.n_points(), "selection")
+    let kept = gather_kept(dataset, keep)?;
+    validate_selection(keep.len(), selection)?;
+    // The uniform weight of every sample, as the tiled build stores it.
+    let weight = 1.0 / n_samples as f64;
+    let mut row = vec![0.0f64; keep.len()];
+    let mut rrs = Vec::with_capacity(n_samples);
+    for u in 0..n_samples {
+        let f = dist.sample(rng);
+        let (_, best) = score_row_checked(f.as_ref(), dataset, &kept, Some(keep), &mut row, u)?;
+        rrs.push(1.0 - sat_in_row(&row, selection) / best);
+    }
+    Ok(fold_report(&rrs, |_| weight))
+}
+
+/// The single fold behind every [`RegretReport`]: per-sample regret ratios
+/// `rrs` and their weights to the weighted mean, variance and maximum.
+fn fold_report(rrs: &[f64], weight: impl Fn(usize) -> f64) -> RegretReport {
+    let mut mean = 0.0;
+    let mut mrr = 0.0f64;
+    for (u, &r) in rrs.iter().enumerate() {
+        mean += weight(u) * r;
+        mrr = mrr.max(r);
+    }
+    let dev = |(u, r): (usize, &f64)| weight(u) * (r - mean) * (r - mean);
+    // fam-lint: allow(K001) -- diagnostic variance for reports; computed once per call and never compared across binaries
+    let vrr = rrs.iter().enumerate().map(dev).sum::<f64>();
+    RegretReport { arr: mean, vrr, std_dev: vrr.sqrt(), mrr }
+}
+
+fn validate_selection(n_points: usize, selection: &[usize]) -> Result<()> {
+    if selection.is_empty() {
+        return Err(FamError::InvalidK { k: 0, n: n_points });
+    }
+    crate::selection::validate_indices(selection, n_points, "selection")
 }
 
 #[cfg(test)]

@@ -238,6 +238,11 @@ pub struct ScoreMatrix {
     best_value: Vec<f64>,
 }
 
+/// Samples per task of the tiled build's full-database pass: the batch
+/// that scans each L1-resident tile of points before the next is loaded
+/// (see [`crate::kernels::linear_max_columns`]).
+const FULL_BEST_BATCH: usize = 32;
+
 /// Per-sample summary of what a tiled reduced build
 /// ([`ScoreMatrix::from_distribution_tiled`]) left behind: how far the
 /// kept universe's best satisfaction falls short of the full database's,
@@ -319,7 +324,6 @@ impl ScoreMatrix {
         let mut scores = vec![0.0f64; n_samples * n_points];
         let rows_per_chunk = (crate::par::CHUNK / n_points.max(1)).max(1);
         let flat = dataset.as_flat();
-        let dim = dataset.dim();
         let per_chunk = crate::par::for_each_chunk_mut_map(
             &mut scores,
             rows_per_chunk * n_points,
@@ -329,26 +333,7 @@ impl ScoreMatrix {
                     .enumerate()
                     .map(|(local, row)| {
                         let u = first_row + local;
-                        let f = &functions[u];
-                        match f.linear_weights() {
-                            Some(w) if w.len() == dim => {
-                                let (bi, bv, ok) =
-                                    crate::kernels::linear_score_row(w, flat, dim, row);
-                                if !ok {
-                                    row_best_checked(row, u)
-                                } else if bv <= 0.0 {
-                                    Err(FamError::DegenerateUtility { sample: u })
-                                } else {
-                                    Ok((bi, bv))
-                                }
-                            }
-                            _ => {
-                                for (idx, p) in dataset.points().enumerate() {
-                                    row[idx] = f.utility(idx, p);
-                                }
-                                row_best_checked(row, u)
-                            }
-                        }
+                        score_row_checked(functions[u].as_ref(), dataset, flat, None, row, u)
                     })
                     .collect::<Result<Vec<_>>>()
             },
@@ -358,9 +343,10 @@ impl ScoreMatrix {
     }
 
     /// Builds a matrix over the `keep` subset of `dataset`'s points by
-    /// sampling `n_samples` functions from `dist`, streaming the **full**
-    /// dataset in point bands so the dense `N × n` matrix is never
-    /// resident — only the `N × keep.len()` result is allocated, and the
+    /// sampling `n_samples` functions from `dist`, without ever making the
+    /// dense `N × n` matrix resident — only the `N × keep.len()` result is
+    /// allocated (plus one `d × n` coordinate-major copy of the points that
+    /// the full-database pass reads), and the
     /// [`crate::sampling::check_matrix_budget`] guard is applied to that
     /// reduced footprint. This is what lets candidate reduction
     /// (`fam-reduce`) put `n = 10^6`-point datasets in front of solvers
@@ -374,8 +360,13 @@ impl ScoreMatrix {
     /// sample, how far the kept universe's best falls short of the full
     /// database's best (exactly `0.0` when `keep` is a skyline).
     ///
+    /// Every sample still needs its best over all points: for linear
+    /// utilities it comes from a max-only kernel
+    /// ([`crate::kernels::linear_max_columns`]) that stores, validates and
+    /// argmax-tracks nothing for the discarded points.
+    ///
     /// Index-dependent utilities ([`crate::TableUtility`]) are not
-    /// supported here: the streaming pass scores points by coordinates
+    /// supported here: the full-database pass scores points by coordinates
     /// under their *original* index; materialize
     /// [`Dataset::subset`] and use [`ScoreMatrix::from_functions`]
     /// instead.
@@ -423,32 +414,44 @@ impl ScoreMatrix {
                 message: "must supply at least one utility function".into(),
             });
         }
-        if keep.is_empty() {
-            return Err(FamError::EmptyDataset);
-        }
+        let kept = gather_kept(dataset, keep)?;
         let full_n = dataset.len();
-        for (i, &c) in keep.iter().enumerate() {
-            if c >= full_n {
-                return Err(FamError::IndexOutOfBounds { index: c, len: full_n });
-            }
-            if i > 0 && keep[i - 1] >= c {
-                return Err(FamError::InvalidParameter {
-                    name: "keep",
-                    message: "kept indices must be strictly ascending".into(),
-                });
-            }
-        }
         let n_points = keep.len();
         let n_samples = functions.len();
         let weights = normalize_weights(weights, n_samples)?;
-        let flat = dataset.as_flat();
         let dim = dataset.dim();
-        // One band of full-dataset scores per worker: scored through the
-        // same kernels as the dense build, summarized for the running
-        // full-database best, and drained into the kept columns — so the
-        // kept row is bit-equal to scoring the materialized subset, while
-        // the working set stays `O(band)` per worker.
-        let band_points = (crate::kernels::TILE * 8).min(full_n);
+        // Each row scores only the kept points, through the dense build's
+        // row kernel over their gathered coordinates, so it is bit-equal to
+        // scoring the materialized subset. The full-database best that the
+        // shortfall stats need comes from a max-only pass: for linear
+        // utilities over a coordinate-major copy of the points (same fmadd
+        // chain per score, no stores), for the rest through `utility`.
+        let columns = if functions.iter().any(|f| linear_weights(f.as_ref(), dim).is_some()) {
+            crate::kernels::transpose(dataset.as_flat(), full_n, dim, dim)
+        } else {
+            Vec::new()
+        };
+        let mut full_best = vec![f64::NEG_INFINITY; n_samples];
+        crate::par::for_each_chunk_mut(&mut full_best, FULL_BEST_BATCH, |chunk, out| {
+            let batch = &functions[chunk * FULL_BEST_BATCH..][..out.len()];
+            let (linear, slots): (Vec<&[f64]>, Vec<usize>) = batch
+                .iter()
+                .enumerate()
+                .filter_map(|(slot, f)| Some((linear_weights(f.as_ref(), dim)?, slot)))
+                .unzip();
+            let mut maxima = vec![0.0f64; linear.len()];
+            crate::kernels::linear_max_columns(&linear, &columns, full_n, &mut maxima);
+            for (slot, m) in slots.into_iter().zip(maxima) {
+                out[slot] = m;
+            }
+            for (f, best) in batch.iter().zip(out.iter_mut()) {
+                if linear_weights(f.as_ref(), dim).is_none() {
+                    *best = crate::kernels::lane_max(f64::NEG_INFINITY, full_n, |p| {
+                        f.utility(p, dataset.point(p))
+                    });
+                }
+            }
+        });
         let mut scores = vec![0.0f64; n_samples * n_points];
         let rows_per_chunk = (crate::par::CHUNK / n_points.max(1)).max(1);
         let per_chunk = crate::par::for_each_chunk_mut_map(
@@ -456,68 +459,22 @@ impl ScoreMatrix {
             rows_per_chunk * n_points,
             |chunk, out| {
                 let first_row = chunk * rows_per_chunk;
-                let mut band = vec![0.0f64; band_points];
                 out.chunks_mut(n_points)
                     .enumerate()
                     .map(|(local, row)| {
                         let u = first_row + local;
-                        let f = &functions[u];
-                        let linear = match f.linear_weights() {
-                            Some(w) if w.len() == dim => Some(w),
-                            _ => None,
-                        };
-                        let mut full_best = f64::NEG_INFINITY;
-                        let mut cursor = 0usize;
-                        let mut b0 = 0usize;
-                        while b0 < full_n {
-                            let b1 = (b0 + band_points).min(full_n);
-                            let scratch = &mut band[..b1 - b0];
-                            match linear {
-                                Some(w) => {
-                                    let (_, bv, _) = crate::kernels::linear_score_row(
-                                        w,
-                                        &flat[b0 * dim..b1 * dim],
-                                        dim,
-                                        scratch,
-                                    );
-                                    if bv > full_best {
-                                        full_best = bv;
-                                    }
-                                }
-                                None => {
-                                    for (i, p) in (b0..b1).enumerate() {
-                                        scratch[i] = f.utility(p, dataset.point(p));
-                                    }
-                                    full_best =
-                                        crate::kernels::lane_max(full_best, scratch.len(), |i| {
-                                            scratch[i]
-                                        });
-                                }
-                            }
-                            while cursor < n_points && keep[cursor] < b1 {
-                                row[cursor] = scratch[keep[cursor] - b0];
-                                cursor += 1;
-                            }
-                            b0 = b1;
-                        }
-                        // The kept row's best goes through the same checked
-                        // pass as the dense build on the subset, so errors
-                        // and (index, value) bits agree with it exactly.
-                        row_best_checked(row, u).map(|best| (best, full_best))
+                        let f = functions[u].as_ref();
+                        score_row_checked(f, dataset, &kept, Some(keep), row, u)
                     })
                     .collect::<Result<Vec<_>>>()
             },
         );
-        let mut best_index = Vec::with_capacity(n_samples);
-        let mut best_value = Vec::with_capacity(n_samples);
-        let mut shortfall = Vec::with_capacity(n_samples);
-        for chunk in per_chunk {
-            for ((bi, bv), full_bv) in chunk? {
-                shortfall.push(if full_bv > bv { (full_bv - bv) / full_bv } else { 0.0 });
-                best_index.push(bi);
-                best_value.push(bv);
-            }
-        }
+        let (best_index, best_value) = merge_row_bests(per_chunk, n_samples)?;
+        let shortfall: Vec<f64> = best_value
+            .iter()
+            .zip(&full_best)
+            .map(|(&bv, &full_bv)| if full_bv > bv { (full_bv - bv) / full_bv } else { 0.0 })
+            .collect();
         let stats = TiledBuildStats {
             source_points: full_n,
             kept_points: n_points,
@@ -1317,7 +1274,6 @@ impl ScoreMatrix {
         // (bit-identical for any thread count).
         let tail = &mut self.scores[base..];
         let flat = dataset.as_flat();
-        let dim = dataset.dim();
         let per_chunk =
             crate::par::for_each_chunk_mut_map(tail, rows_per_chunk * stride, |chunk, out| {
                 let first_row = chunk * rows_per_chunk;
@@ -1327,25 +1283,7 @@ impl ScoreMatrix {
                         let j = first_row + local;
                         let f = &functions[j];
                         let row = &mut padded[..n_points];
-                        match f.linear_weights() {
-                            Some(w) if w.len() == dim => {
-                                let (bi, bv, ok) =
-                                    crate::kernels::linear_score_row(w, flat, dim, row);
-                                if !ok {
-                                    row_best_checked(row, n_old + j)
-                                } else if bv <= 0.0 {
-                                    Err(FamError::DegenerateUtility { sample: n_old + j })
-                                } else {
-                                    Ok((bi, bv))
-                                }
-                            }
-                            _ => {
-                                for (idx, p) in dataset.points().enumerate() {
-                                    row[idx] = f.utility(idx, p);
-                                }
-                                row_best_checked(row, n_old + j)
-                            }
-                        }
+                        score_row_checked(f.as_ref(), dataset, flat, None, row, n_old + j)
                     })
                     .collect::<Result<Vec<_>>>()
             });
@@ -1414,6 +1352,77 @@ fn normalize_weights(weights: Option<Vec<f64>>, n_samples: usize) -> Result<Vec<
     }
 }
 
+/// The weight vector of `f` when it is linear over `dim` coordinates —
+/// the functions the fused row kernels score.
+fn linear_weights(f: &dyn UtilityFunction, dim: usize) -> Option<&[f64]> {
+    f.linear_weights().filter(|w| w.len() == dim)
+}
+
+/// Scores sample `u`'s function `f` over a set of `dataset`'s points into
+/// `row` and returns the row's checked best — the one row pass of every
+/// build. `points` holds the scored points' coordinates row-major, and
+/// `ids` their dataset indices (`None`: all points, in order). Linear
+/// utilities go through the fused score+validate+best kernel over
+/// `points`; the rest through `utility(id, point)` and the fused
+/// validate+best pass. Both give bit-identical scores and bests for the
+/// same points, however they were gathered.
+pub(crate) fn score_row_checked(
+    f: &dyn UtilityFunction,
+    dataset: &Dataset,
+    points: &[f64],
+    ids: Option<&[usize]>,
+    row: &mut [f64],
+    u: usize,
+) -> Result<(u32, f64)> {
+    let dim = dataset.dim();
+    if let Some(w) = linear_weights(f, dim) {
+        let (bi, bv, ok) = crate::kernels::linear_score_row(w, points, dim, row);
+        return if !ok {
+            row_best_checked(row, u)
+        } else if bv <= 0.0 {
+            Err(FamError::DegenerateUtility { sample: u })
+        } else {
+            Ok((bi, bv))
+        };
+    }
+    match ids {
+        None => {
+            for (idx, p) in dataset.points().enumerate() {
+                row[idx] = f.utility(idx, p);
+            }
+        }
+        Some(ids) => {
+            for (slot, &id) in row.iter_mut().zip(ids) {
+                *slot = f.utility(id, dataset.point(id));
+            }
+        }
+    }
+    row_best_checked(row, u)
+}
+
+/// Validates a tiled build's `keep` list — non-empty, in bounds, strictly
+/// ascending — and gathers the kept points' coordinates row-major.
+pub(crate) fn gather_kept(dataset: &Dataset, keep: &[usize]) -> Result<Vec<f64>> {
+    if keep.is_empty() {
+        return Err(FamError::EmptyDataset);
+    }
+    let full_n = dataset.len();
+    let mut kept = Vec::with_capacity(keep.len() * dataset.dim());
+    for (i, &c) in keep.iter().enumerate() {
+        if c >= full_n {
+            return Err(FamError::IndexOutOfBounds { index: c, len: full_n });
+        }
+        if i > 0 && keep[i - 1] >= c {
+            return Err(FamError::InvalidParameter {
+                name: "keep",
+                message: "kept indices must be strictly ascending".into(),
+            });
+        }
+        kept.extend_from_slice(dataset.point(c));
+    }
+    Ok(kept)
+}
+
 /// One row of the fused validate+best construction pass: wraps
 /// [`crate::kernels::validate_row_best`] with the matrix's row-indexed
 /// error vocabulary and the degenerate-row (no positive score) check.
@@ -1453,7 +1462,7 @@ mod tests {
     use crate::distribution::UniformLinear;
     use crate::utility::{LinearUtility, TableUtility};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     fn table_i_matrix() -> ScoreMatrix {
         // Table I of the paper: 4 users x 4 hotels.
@@ -1612,6 +1621,168 @@ mod tests {
         assert!(ScoreMatrix::from_distribution_tiled(&d, &dist, 4, &mut rng, &[1, 0]).is_err());
         assert!(ScoreMatrix::from_distribution_tiled(&d, &dist, 4, &mut rng, &[0, 0]).is_err());
         assert!(ScoreMatrix::from_distribution_tiled(&d, &dist, 0, &mut rng, &[0]).is_err());
+    }
+
+    /// A deterministic 3-D dataset whose size is not a multiple of any
+    /// kernel width, plus an arbitrary keep list (not a skyline).
+    fn tiled_fixture() -> (Dataset, Vec<usize>) {
+        let d = Dataset::from_rows(
+            (0..613)
+                .map(|i| {
+                    let x = (i as f64 * 0.7371).fract();
+                    vec![x, (1.0 - x) * 0.9, (i as f64 * 0.1313).fract()]
+                })
+                .collect(),
+        )
+        .unwrap();
+        let keep = (0..d.len()).filter(|i| i % 5 == 1 || i % 13 == 0).collect();
+        (d, keep)
+    }
+
+    /// The stats a tiled build must report, from a naive per-point
+    /// maximum over every point and over the kept ones.
+    fn naive_stats(
+        d: &Dataset,
+        functions: &[Arc<dyn UtilityFunction>],
+        keep: &[usize],
+    ) -> TiledBuildStats {
+        let best_of = |f: &Arc<dyn UtilityFunction>, ids: &mut dyn Iterator<Item = usize>| {
+            let mut best = f64::NEG_INFINITY;
+            for p in ids {
+                let v = f.utility(p, d.point(p));
+                if v > best {
+                    best = v;
+                }
+            }
+            best
+        };
+        let shortfall: Vec<f64> = functions
+            .iter()
+            .map(|f| {
+                let full = best_of(f, &mut (0..d.len()));
+                let kept = best_of(f, &mut keep.iter().copied());
+                if full > kept {
+                    (full - kept) / full
+                } else {
+                    0.0
+                }
+            })
+            .collect();
+        let mut max_shortfall = 0.0f64;
+        for &s in &shortfall {
+            if s > max_shortfall {
+                max_shortfall = s;
+            }
+        }
+        TiledBuildStats {
+            source_points: d.len(),
+            kept_points: keep.len(),
+            max_shortfall,
+            mean_shortfall: crate::kernels::lane_sum(shortfall.len(), |u| shortfall[u])
+                / functions.len() as f64,
+        }
+    }
+
+    fn stats_bits(s: &TiledBuildStats) -> (usize, usize, u64, u64) {
+        (s.source_points, s.kept_points, s.max_shortfall.to_bits(), s.mean_shortfall.to_bits())
+    }
+
+    #[test]
+    fn tiled_stats_match_a_naive_per_point_maximum() {
+        let (d, keep) = tiled_fixture();
+        let all: Vec<usize> = (0..d.len()).collect();
+        let linear = UniformLinear::new(3).unwrap();
+        let cobb = crate::distribution::CobbDouglasDistribution::new(3).unwrap();
+        let dists: [&dyn UtilityDistribution; 2] = [&linear, &cobb];
+        for dist in dists {
+            let mut rng = StdRng::seed_from_u64(5);
+            let functions: Vec<_> = (0..70).map(|_| dist.sample(&mut rng)).collect();
+            for keep in [&keep, &all] {
+                let (m, stats) =
+                    ScoreMatrix::from_functions_tiled(&d, &functions, None, keep).unwrap();
+                let want = naive_stats(&d, &functions, keep);
+                assert_eq!(stats_bits(&stats), stats_bits(&want), "{}", dist.name());
+                for (u, f) in functions.iter().enumerate() {
+                    for (j, &p) in keep.iter().enumerate() {
+                        assert_eq!(m.score(u, j).to_bits(), f.utility(p, d.point(p)).to_bits());
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn streamed_report_equals_the_report_on_a_tiled_matrix() {
+        let (d, keep) = tiled_fixture();
+        let linear = UniformLinear::new(3).unwrap();
+        let cobb = crate::distribution::CobbDouglasDistribution::new(3).unwrap();
+        let dists: [&dyn UtilityDistribution; 2] = [&linear, &cobb];
+        for dist in dists {
+            for selection in [vec![0], vec![3, 1, 40], (0..keep.len()).step_by(9).collect()] {
+                let mut rng_tiled = StdRng::seed_from_u64(77);
+                let (fresh, _) =
+                    ScoreMatrix::from_distribution_tiled(&d, dist, 90, &mut rng_tiled, &keep)
+                        .unwrap();
+                let want = crate::regret::report(&fresh, &selection).unwrap();
+                let mut rng = StdRng::seed_from_u64(77);
+                let got = crate::regret::report_streamed(&d, dist, 90, &mut rng, &keep, &selection)
+                    .unwrap();
+                let bits = |r: &crate::regret::RegretReport| {
+                    [r.arr.to_bits(), r.vrr.to_bits(), r.std_dev.to_bits(), r.mrr.to_bits()]
+                };
+                assert_eq!(bits(&got), bits(&want), "{} {selection:?}", dist.name());
+                // Both leave the caller's RNG at the same position.
+                assert_eq!(rng.next_u64(), rng_tiled.next_u64());
+            }
+        }
+    }
+
+    #[test]
+    fn streamed_report_returns_the_tiled_builds_errors() {
+        // The kept points have x = 0, so the axis utility on x scores them
+        // all 0: a degenerate sample wherever the stream draws it.
+        let d = Dataset::from_rows(vec![
+            vec![0.0, 1.0],
+            vec![1.0, 0.0],
+            vec![0.0, 0.5],
+            vec![0.2, 0.2],
+        ])
+        .unwrap();
+        let keep = [0, 2];
+        let axis =
+            |w: Vec<f64>| -> Arc<dyn UtilityFunction> { Arc::new(LinearUtility::new(w).unwrap()) };
+        let dist = crate::distribution::DiscreteDistribution::uniform(
+            vec![axis(vec![0.0, 1.0]), axis(vec![1.0, 0.0]), axis(vec![0.3, 0.7])],
+            2,
+        )
+        .unwrap();
+        for seed in 0..6 {
+            let tiled = ScoreMatrix::from_distribution_tiled(
+                &d,
+                &dist,
+                12,
+                &mut StdRng::seed_from_u64(seed),
+                &keep,
+            )
+            .map(|_| ());
+            let streamed = crate::regret::report_streamed(
+                &d,
+                &dist,
+                12,
+                &mut StdRng::seed_from_u64(seed),
+                &keep,
+                &[1],
+            )
+            .map(|_| ());
+            assert!(tiled.is_err(), "seed {seed}: 12 draws from 3 atoms include the axis on x");
+            assert_eq!(streamed, tiled, "seed {seed}");
+        }
+        let mut rng = StdRng::seed_from_u64(0);
+        let lin = UniformLinear::new(2).unwrap();
+        for (keep, sel) in [(&[][..], &[0][..]), (&[2, 1][..], &[0][..]), (&[0, 2][..], &[2][..])] {
+            assert!(crate::regret::report_streamed(&d, &lin, 4, &mut rng, keep, sel).is_err());
+        }
+        assert!(crate::regret::report_streamed(&d, &lin, 0, &mut rng, &[0], &[0]).is_err());
     }
 
     /// From-scratch comparator for the incremental mutations: rebuilds a

@@ -86,7 +86,7 @@ pub fn synthetic(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fam_geometry::skyline;
+    use fam_geometry::{skyline, skyline_2d, skyline_3d, skyline_bnl, skyline_sfs};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -122,6 +122,25 @@ mod tests {
         let anti = skyline(&synthetic(n, d, Correlation::AntiCorrelated, &mut r).unwrap()).len();
         assert!(corr < ind, "correlated skyline {corr} !< independent {ind}");
         assert!(ind < anti, "independent skyline {ind} !< anti-correlated {anti}");
+    }
+
+    #[test]
+    fn skyline_algorithms_agree_on_every_generator() {
+        let mut r = rng();
+        for corr in [Correlation::Independent, Correlation::Correlated, Correlation::AntiCorrelated]
+        {
+            for d in 2..=4 {
+                let data = synthetic(2000, d, corr, &mut r).unwrap();
+                let reference = skyline_bnl(&data);
+                assert_eq!(skyline(&data), reference, "{corr:?} d={d}");
+                assert_eq!(skyline_sfs(&data), reference, "{corr:?} d={d}");
+                match d {
+                    2 => assert_eq!(skyline_2d(&data), reference, "{corr:?} d={d}"),
+                    3 => assert_eq!(skyline_3d(&data), reference, "{corr:?} d={d}"),
+                    _ => {}
+                }
+            }
+        }
     }
 
     #[test]

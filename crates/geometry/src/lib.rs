@@ -19,4 +19,6 @@ pub use angles::{switch_angle, utility_at_angle, weights_at_angle, HALF_PI};
 pub use bitset::BitSet;
 pub use dominance::{dom_compare, dominates, incomparable, DomOrdering};
 pub use envelope::{EnvSegment, Envelope};
-pub use skyline::{dominated_sets, skyline, skyline_2d, skyline_bnl, skyline_sfs};
+pub use skyline::{
+    dominated_sets, skyline, skyline_2d, skyline_3d, skyline_bnl, skyline_sfs, skyline_sfs_subset,
+};

@@ -2,8 +2,8 @@
 
 use fam_core::Dataset;
 use fam_geometry::{
-    dom_compare, dominates, skyline_2d, skyline_bnl, skyline_sfs, switch_angle, utility_at_angle,
-    BitSet, DomOrdering, Envelope, HALF_PI,
+    dom_compare, dominates, skyline, skyline_2d, skyline_3d, skyline_bnl, skyline_sfs,
+    switch_angle, utility_at_angle, BitSet, DomOrdering, Envelope, HALF_PI,
 };
 use proptest::prelude::*;
 
@@ -12,34 +12,77 @@ fn dataset_strategy(max_n: usize, dim: usize) -> impl Strategy<Value = Dataset> 
         .prop_map(|rows| Dataset::from_rows(rows).unwrap())
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
+/// Tie-heavy datasets: coordinates on a small integer grid, so duplicates
+/// and equal coordinates are common.
+fn grid_strategy(max_n: usize, dim: usize) -> impl Strategy<Value = Dataset> {
+    proptest::collection::vec(proptest::collection::vec(0u32..4, dim), 1..=max_n).prop_map(|rows| {
+        Dataset::from_rows(
+            rows.into_iter().map(|r| r.into_iter().map(f64::from).collect()).collect(),
+        )
+        .unwrap()
+    })
+}
 
-    /// Skyline soundness: no returned point is dominated by any point.
-    /// Completeness: every omitted point is dominated by someone.
-    #[test]
-    fn skyline_sound_and_complete(ds in dataset_strategy(40, 3)) {
-        let sky = skyline_sfs(&ds);
+/// Every skyline algorithm that applies at the dataset's dimension.
+fn all_skylines(ds: &Dataset) -> Vec<(&'static str, Vec<usize>)> {
+    let mut out =
+        vec![("bnl", skyline_bnl(ds)), ("sfs", skyline_sfs(ds)), ("skyline", skyline(ds))];
+    match ds.dim() {
+        2 => out.push(("2d", skyline_2d(ds))),
+        3 => out.push(("3d", skyline_3d(ds))),
+        _ => {}
+    }
+    out
+}
+
+/// Soundness: no returned point is dominated by any point.
+/// Completeness: every omitted point is dominated by someone.
+fn assert_sound_and_complete(ds: &Dataset) {
+    for (name, sky) in all_skylines(ds) {
         let in_sky = |i: usize| sky.binary_search(&i).is_ok();
         for i in 0..ds.len() {
-            let dominated = (0..ds.len())
-                .any(|j| j != i && dominates(ds.point(j), ds.point(i)));
+            let dominated = (0..ds.len()).any(|j| j != i && dominates(ds.point(j), ds.point(i)));
             if in_sky(i) {
-                prop_assert!(!dominated, "skyline point {} is dominated", i);
+                prop_assert!(!dominated, "{}: skyline point {} is dominated", name, i);
             } else {
-                prop_assert!(dominated, "non-skyline point {} is undominated", i);
+                prop_assert!(dominated, "{}: non-skyline point {} is undominated", name, i);
             }
         }
     }
+}
 
-    /// The three skyline algorithms agree.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Every skyline algorithm is sound and complete, in 2, 3 and 4
+    /// dimensions, on continuous and on tie-heavy grid data.
     #[test]
-    fn skyline_algorithms_agree(ds in dataset_strategy(60, 2)) {
-        let a = skyline_bnl(&ds);
-        let b = skyline_sfs(&ds);
-        let c = skyline_2d(&ds);
-        prop_assert_eq!(&a, &b);
-        prop_assert_eq!(&a, &c);
+    fn skyline_sound_and_complete(
+        cont2 in dataset_strategy(40, 2),
+        cont3 in dataset_strategy(40, 3),
+        cont4 in dataset_strategy(40, 4),
+        grid2 in grid_strategy(40, 2),
+        grid3 in grid_strategy(40, 3),
+        grid4 in grid_strategy(40, 4),
+    ) {
+        for ds in [&cont2, &cont3, &cont4, &grid2, &grid3, &grid4] {
+            assert_sound_and_complete(ds);
+        }
+    }
+
+    /// The skyline algorithms agree with each other.
+    #[test]
+    fn skyline_algorithms_agree(
+        d2 in dataset_strategy(60, 2),
+        d3 in dataset_strategy(60, 3),
+        g3 in grid_strategy(60, 3),
+    ) {
+        for ds in [&d2, &d3, &g3] {
+            let all = all_skylines(ds);
+            for (name, sky) in &all[1..] {
+                prop_assert_eq!(sky, &all[0].1, "{} disagrees with bnl", name);
+            }
+        }
     }
 
     /// Dominance is a strict partial order: irreflexive, asymmetric,
@@ -141,11 +184,13 @@ proptest! {
         let perm: Vec<usize> = (0..n).map(|i| (shift + i * stride) % n).collect();
         let shuffled =
             Dataset::from_rows(perm.iter().map(|&old| ds.point(old).to_vec()).collect()).unwrap();
-        let base = skyline_sfs(&ds);
-        let moved = skyline_sfs(&shuffled);
-        // Map the shuffled skyline back into original ids.
-        let mut back: Vec<usize> = moved.iter().map(|&new| perm[new]).collect();
-        back.sort_unstable();
-        prop_assert_eq!(&back, &base);
+        for algo in [skyline_sfs, skyline] {
+            let base = algo(&ds);
+            let moved = algo(&shuffled);
+            // Map the shuffled skyline back into original ids.
+            let mut back: Vec<usize> = moved.iter().map(|&new| perm[new]).collect();
+            back.sort_unstable();
+            prop_assert_eq!(&back, &base);
+        }
     }
 }

@@ -3,7 +3,6 @@
 //! [`CoresetReducer`] (deterministic directional ε-kernel).
 
 use fam_core::{Dataset, FamError, Result};
-use fam_geometry::dominance::{dom_compare, DomOrdering};
 
 /// One stage of the candidate-reduction pipeline: given the dataset and
 /// the ascending candidate ids that survived earlier stages, return the
@@ -61,34 +60,13 @@ impl CandidateReducer for SkylineReducer {
         check_candidates(dataset, candidates)?;
         if candidates.len() == dataset.len() {
             // Full universe: the dimension-dispatched algorithms
-            // (`O(n log n)` sweep in 2-D, sort-filter otherwise).
+            // (`O(n log n)` sweeps in 2-D and 3-D, sort-filter otherwise).
             return Ok(fam_geometry::skyline(dataset));
         }
-        // Subset skyline via the same sort-filter scheme: descending
+        // Subset skyline via the sort-filter scheme: descending
         // coordinate sums guarantee a candidate can only be dominated by
         // ones already in the window.
-        let sums: Vec<f64> = candidates
-            .iter()
-            .map(|&c| {
-                let p = dataset.point(c);
-                fam_core::kernels::lane_sum(p.len(), |i| p[i])
-            })
-            .collect();
-        let mut order: Vec<usize> = (0..candidates.len()).collect();
-        order.sort_by(|&a, &b| sums[b].total_cmp(&sums[a]).then(candidates[a].cmp(&candidates[b])));
-        let mut window: Vec<usize> = Vec::new();
-        'outer: for &i in &order {
-            let p = dataset.point(candidates[i]);
-            for &w in &window {
-                if dom_compare(dataset.point(candidates[w]), p) == DomOrdering::Dominates {
-                    continue 'outer;
-                }
-            }
-            window.push(i);
-        }
-        let mut kept: Vec<usize> = window.into_iter().map(|i| candidates[i]).collect();
-        kept.sort_unstable();
-        Ok(kept)
+        Ok(fam_geometry::skyline_sfs_subset(dataset, candidates))
     }
 }
 

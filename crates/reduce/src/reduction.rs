@@ -297,6 +297,55 @@ mod tests {
     }
 
     #[test]
+    fn tiled_stats_of_skyline_and_coreset_keeps_match_a_naive_dot_maximum() {
+        use fam_core::{kernels, ScoreMatrix, TiledBuildStats, UniformLinear, UtilityDistribution};
+        let mut rng = StdRng::seed_from_u64(8);
+        let data = random_ds(&mut rng, 1500, 3);
+        let dist = UniformLinear::new(3).unwrap();
+        let functions: Vec<_> = (0..64).map(|_| dist.sample(&mut rng)).collect();
+        for (spec, lossless) in [(ReduceSpec::skyline(), true), (ReduceSpec::coreset(0.5), false)] {
+            let r = Reduction::compute(&data, spec).unwrap();
+            let (_, stats) =
+                ScoreMatrix::from_functions_tiled(&data, &functions, None, r.kept()).unwrap();
+            // The naive reference: every point's `dot`, one at a time.
+            let best = |w: &[f64], ids: &mut dyn Iterator<Item = usize>| {
+                let mut best = f64::NEG_INFINITY;
+                for p in ids {
+                    let v = kernels::dot(w, data.point(p));
+                    if v > best {
+                        best = v;
+                    }
+                }
+                best
+            };
+            let shortfall: Vec<f64> = functions
+                .iter()
+                .map(|f| {
+                    let w = f.linear_weights().unwrap();
+                    let full = best(w, &mut (0..data.len()));
+                    let kept = best(w, &mut r.kept().iter().copied());
+                    if full > kept {
+                        (full - kept) / full
+                    } else {
+                        0.0
+                    }
+                })
+                .collect();
+            let want = TiledBuildStats {
+                source_points: data.len(),
+                kept_points: r.kept().len(),
+                max_shortfall: shortfall.iter().fold(0.0, |m: f64, &s| if s > m { s } else { m }),
+                mean_shortfall: kernels::lane_sum(shortfall.len(), |u| shortfall[u])
+                    / functions.len() as f64,
+            };
+            assert_eq!(stats.max_shortfall.to_bits(), want.max_shortfall.to_bits(), "{spec:?}");
+            assert_eq!(stats.mean_shortfall.to_bits(), want.mean_shortfall.to_bits(), "{spec:?}");
+            assert_eq!(stats, want);
+            assert_eq!(lossless, stats.max_shortfall == 0.0, "{spec:?}: {stats:?}");
+        }
+    }
+
+    #[test]
     fn identity_spec_keeps_everything() {
         let data = ds(vec![vec![1.0, 0.0], vec![0.5, 0.5]]);
         let r = Reduction::compute(&data, ReduceSpec::none()).unwrap();
