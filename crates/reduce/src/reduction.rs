@@ -179,14 +179,16 @@ impl Reduction {
     /// deleted, swap-remove semantics), and the new-id range of appended
     /// points.
     ///
-    /// Deleting a non-kept point never changes the skyline; an inserted
-    /// point joins the skyline window unless a member dominates it, and
-    /// evicts members it dominates (exact by transitivity of dominance).
-    /// A coreset stage is then re-derived from the repaired skyline, so a
-    /// [`ReductionRepair::Repaired`] result is **identical** to a fresh
-    /// [`Reduction::compute`] over the updated dataset. Deleting a
-    /// skyline member surfaces points the reduction no longer tracks —
-    /// that returns [`ReductionRepair::Recompute`] instead of guessing.
+    /// The identity (`none`) reduction keeps every survivor and every
+    /// appended point. Otherwise, deleting a non-kept point never changes
+    /// the skyline; an inserted point joins the skyline window unless a
+    /// member dominates it, and evicts members it dominates (exact by
+    /// transitivity of dominance). A coreset stage is then re-derived
+    /// from the repaired skyline, so a [`ReductionRepair::Repaired`]
+    /// result is **identical** to a fresh [`Reduction::compute`] over the
+    /// updated dataset. Deleting a skyline member surfaces points the
+    /// reduction no longer tracks — that returns
+    /// [`ReductionRepair::Recompute`] instead of guessing.
     ///
     /// # Errors
     ///
@@ -204,6 +206,7 @@ impl Reduction {
                 got: remap.len(),
             });
         }
+        let keep_all = self.spec.kind == ReduceKind::None;
         let mut window = Vec::with_capacity(self.skyline.len() + appended.len());
         for &old in &self.skyline {
             match remap[old] {
@@ -214,12 +217,17 @@ impl Reduction {
                     }
                     window.push(new);
                 }
+                None if keep_all => {}
                 None => return Ok(ReductionRepair::Recompute),
             }
         }
         for id in appended.clone() {
             if id >= after.len() {
                 return Err(FamError::IndexOutOfBounds { index: id, len: after.len() });
+            }
+            if keep_all {
+                window.push(id);
+                continue;
             }
             let p = after.point(id);
             let mut dominated = false;
@@ -356,7 +364,7 @@ mod tests {
     #[test]
     fn repair_insert_matches_fresh_compute() {
         let mut rng = StdRng::seed_from_u64(17);
-        for spec in [ReduceSpec::skyline(), ReduceSpec::coreset(0.1)] {
+        for spec in [ReduceSpec::skyline(), ReduceSpec::coreset(0.1), ReduceSpec::none()] {
             let before = random_ds(&mut rng, 200, 3);
             let r = Reduction::compute(&before, spec).unwrap();
             // Append 40 points (no deletions): remap is the identity.
@@ -400,6 +408,10 @@ mod tests {
         assert_eq!(r.repair(&after, &remap, 3..3).unwrap(), ReductionRepair::Recompute);
         // A remap that does not cover the old universe is rejected.
         assert!(r.repair(&after, &[Some(0)], 3..3).is_err());
+        // The identity reduction keeps every survivor through any delete.
+        let none = Reduction::compute(&data, ReduceSpec::none()).unwrap();
+        let fresh = Reduction::compute(&after, ReduceSpec::none()).unwrap();
+        assert_eq!(none.repair(&after, &remap, 3..3).unwrap(), ReductionRepair::Repaired(fresh));
     }
 
     #[test]

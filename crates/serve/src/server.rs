@@ -152,6 +152,31 @@ impl DatasetSlot {
             Err(poisoned) => poisoned.into_inner(),
         }
     }
+
+    /// One writer turn: `build` mutates a private deep copy of the
+    /// published generation, off the read path, and reports whether it
+    /// changed anything. A changed copy is published as the next
+    /// generation; an error (or the `serve.publish` failpoint) drops it
+    /// unpublished, so readers keep the previous generation. Returns the
+    /// build's output and the generation serving afterwards.
+    fn with_next_generation<T>(
+        &self,
+        build: impl FnOnce(&mut DatasetService) -> fam_core::Result<(T, bool)>,
+    ) -> fam_core::Result<(T, Arc<Generation>)> {
+        let _turn = self.writer_turn();
+        let prev = self.snapshot();
+        let mut next = prev.service.clone();
+        let (out, changed) = build(&mut next)?;
+        if !changed {
+            return Ok((out, prev));
+        }
+        // Chaos hook: a failure between the successful build and the
+        // swap must leave the old generation serving.
+        failpoints::fail_point("serve.publish")?;
+        let gen = Arc::new(Generation { id: prev.id + 1, service: next });
+        self.publish(Arc::clone(&gen));
+        Ok((out, gen))
+    }
 }
 
 struct ServerState {
@@ -708,27 +733,16 @@ fn update(state: &ServerState, req: &Request) -> (u16, String) {
         Err(e) => return e,
     };
     let t0 = Instant::now();
-    // One writer per dataset; readers keep serving the published
-    // generation throughout. The whole build happens on a private deep
-    // copy: any failure below simply discards it.
-    let _turn = ds.writer_turn();
-    let prev = ds.snapshot();
-    let mut next = prev.service.clone();
-    match next.apply_update_text_within(&req.body, "request body", &deadline) {
-        Ok(summary) => {
-            // Chaos hook: a failure between the successful build and the
-            // swap must leave the old generation serving (the clone is
-            // dropped here, unpublished).
-            if let Err(e) = failpoints::fail_point("serve.publish") {
-                return dataset_error(&ds.stats, &e);
-            }
-            let generation = prev.id + 1;
-            ds.publish(Arc::new(Generation { id: generation, service: next }));
+    let built = ds.with_next_generation(|next| {
+        next.apply_update_text_within(&req.body, "request body", &deadline).map(|s| (s, true))
+    });
+    match built {
+        Ok((summary, gen)) => {
             ds.stats.updates.fetch_add(1, Ordering::Relaxed);
             let r = &summary.report;
             let body = Obj::new()
                 .str("dataset", req.query.get("dataset").map(String::as_str).unwrap_or(""))
-                .num("generation", generation)
+                .num("generation", gen.id)
                 .num("inserted", r.inserted as u64)
                 .num("deleted", r.deleted as u64)
                 .num("n_points", r.n_points as u64)
@@ -774,24 +788,16 @@ fn refine(state: &ServerState, req: &Request) -> (u16, String) {
         Some(Err(_)) => return (400, Obj::new().str("error", "malformed `sigma`").build()),
     };
     let t0 = Instant::now();
-    let _turn = ds.writer_turn();
-    let prev = ds.snapshot();
-    let mut next = prev.service.clone();
-    match next.refine_within(epsilon, sigma, &deadline) {
-        Ok(summary) => {
-            // An already-satisfied refine changed nothing: skip the
-            // publish (and the generation bump) entirely.
-            let generation = if summary.already_satisfied {
-                prev.id
-            } else {
-                if let Err(e) = failpoints::fail_point("serve.publish") {
-                    return dataset_error(&ds.stats, &e);
-                }
-                let id = prev.id + 1;
-                ds.publish(Arc::new(Generation { id, service: next }));
-                id
-            };
-            let gen = ds.snapshot();
+    // An already-satisfied refine changed nothing: it skips the publish
+    // (and the generation bump) entirely.
+    let built = ds.with_next_generation(|next| {
+        next.refine_within(epsilon, sigma, &deadline).map(|s| {
+            let changed = !s.already_satisfied;
+            (s, changed)
+        })
+    });
+    match built {
+        Ok((summary, gen)) => {
             let rounds: Vec<String> = summary
                 .rounds
                 .iter()
@@ -805,7 +811,7 @@ fn refine(state: &ServerState, req: &Request) -> (u16, String) {
                 .collect();
             let body = Obj::new()
                 .str("dataset", gen.service.name())
-                .num("generation", generation)
+                .num("generation", gen.id)
                 .num("target_samples", summary.target_samples as u64)
                 .num("n_samples", summary.n_samples as u64)
                 .float("achieved_epsilon", summary.achieved_epsilon)

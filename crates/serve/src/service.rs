@@ -16,12 +16,17 @@
 //! retained coordinates with the engine's index remap (so
 //! coordinate-based solvers like `dp-2d` answer against the *current*
 //! point universe), and then re-harvest the cache on the updated matrix.
+//!
+//! Every service solves over the candidates a [`fam_reduce`] reduction
+//! kept; an unreduced dataset is the `none` reduction, which keeps every
+//! point, so reduced and unreduced datasets share one update path.
 
 use std::collections::BTreeMap;
 use std::ops::RangeInclusive;
 use std::sync::Arc;
 
 use fam_algos::{reoptimize, warm_repair, Registry, Solver, SolverSpec};
+use fam_core::scores::swap_remove_remap;
 use fam_core::{
     check_matrix_budget, chernoff_epsilon, failpoints, regret, ApplyReport, Dataset, Deadline,
     DynamicEngine, FamError, PrecisionSpec, ReduceKind, RegretReport, Result, ScoreMatrix,
@@ -78,14 +83,14 @@ pub struct ServeOptions {
     /// the default confidence for `POST /refine`); confidence is
     /// `1 - sigma`.
     pub sigma: f64,
-    /// Build-time candidate reduction (`fam_reduce`). When non-none, the
-    /// resident matrix is built **tiled over the kept points only** —
-    /// the full dataset is streamed in bands and the dense `N × n`
-    /// matrix is never resident — so million-point datasets can be
-    /// served under the default `FAM_MAX_MATRIX_BYTES` budget. Every
+    /// Build-time candidate reduction (`fam_reduce`). When it prunes any
+    /// point, the resident matrix is built **tiled over the kept points
+    /// only** — the full dataset is streamed in bands and the dense
+    /// `N × n` matrix is never resident — so million-point datasets can
+    /// be served under the default `FAM_MAX_MATRIX_BYTES` budget. Every
     /// answer is remapped to original point ids; updates repair the
     /// reduction incrementally ([`fam_reduce::Reduction::repair`]) and
-    /// recompute it only when a kept member is deleted.
+    /// recompute it only when a kept skyline member is deleted.
     pub reduce: ReduceSpec,
 }
 
@@ -196,10 +201,10 @@ pub struct DatasetService {
     dim: usize,
     functions: Vec<Arc<dyn UtilityFunction>>,
     engine: DynamicEngine,
-    /// The current point coordinates, in the engine's point order —
-    /// kept in lockstep with the matrix through every update so
-    /// coordinate-based solvers answer against the live universe. On a
-    /// reduced service this mirrors the **kept** universe only.
+    /// The coordinates of the engine's points, in the engine's point
+    /// order — kept in lockstep with the matrix through every update so
+    /// coordinate-based solvers answer against the live universe. This
+    /// mirrors the **kept** universe only.
     dataset: Dataset,
     /// Result cache, keyed `(algorithm, k, reduction fingerprint)`: the
     /// fingerprint names the candidate universe an entry was solved on,
@@ -218,28 +223,18 @@ pub struct DatasetService {
     /// each `refine` call).
     sigma: f64,
     refines: u64,
-    /// Present when the service was built with a non-none
-    /// [`ServeOptions::reduce`]: the resident engine then holds the
-    /// *reduced* universe and every served answer is remapped through
-    /// [`ReducedResident::cols`] back to original point ids.
-    reduced: Option<ReducedResident>,
-}
-
-/// The reduced-resident state: the live full-universe coordinates, the
-/// reduction over them, and the engine-column → full-id mapping (the
-/// engine permutes its columns by swap-remove on updates, so the sorted
-/// `reduction.kept()` list alone cannot address live columns).
-#[derive(Clone)]
-struct ReducedResident {
-    spec: ReduceSpec,
+    /// The [`ServeOptions::reduce`] reduction over [`Self::full`]: the
+    /// engine holds only its kept points (all of them for `none`).
     reduction: Reduction,
     /// Live full-universe coordinates (updates apply here first, then
     /// repair the reduction, then translate to engine ops).
     full: Dataset,
     /// `cols[engine_column] = full-universe id`, maintained through
-    /// every update in lockstep with the engine's remap.
+    /// every update in lockstep with the engine's remap (the engine
+    /// permutes its columns by swap-remove, so the sorted
+    /// `reduction.kept()` list alone cannot address live columns).
     cols: Vec<usize>,
-    /// Shortfall stats from the build-time tiled scoring pass.
+    /// Shortfall stats from the build-time scoring pass.
     stats: TiledBuildStats,
 }
 
@@ -251,44 +246,12 @@ fn to_original(indices: &[usize], cols: &[usize]) -> Vec<usize> {
     v
 }
 
-/// Replicates [`ScoreMatrix::delete_points`]' canonical swap-remove
-/// remap for a plain point universe (the reduced service's full-
-/// coordinate mirror has no matrix to delegate to): `remap[old]` is the
-/// survivor's new slot, `None` for deleted points.
-fn swap_remove_remap(n_old: usize, delete: &[usize]) -> Result<Vec<Option<u32>>> {
-    let mut dead = vec![false; n_old];
-    for &p in delete {
-        match dead.get_mut(p) {
-            None => return Err(FamError::IndexOutOfBounds { index: p, len: n_old }),
-            Some(true) => {
-                return Err(FamError::InvalidParameter {
-                    name: "delete",
-                    message: format!("duplicate point index {p}"),
-                });
-            }
-            Some(d) => *d = true,
-        }
-    }
-    let mut dels: Vec<usize> = delete.to_vec();
-    dels.sort_unstable();
-    let mut order: Vec<u32> = (0..n_old as u32).collect();
-    for &d in dels.iter().rev() {
-        order.swap_remove(d);
-    }
-    let mut remap: Vec<Option<u32>> = vec![None; n_old];
-    for (slot, &p) in order.iter().enumerate() {
-        // fam-lint: allow(P001) -- order holds surviving original ids, all < n_old == remap.len()
-        remap[p as usize] = Some(slot as u32);
-    }
-    Ok(remap)
-}
-
 fn build_cache(
     m: &ScoreMatrix,
     ks: &RangeInclusive<usize>,
     deadline: &Deadline,
     fingerprint: &str,
-    cols: Option<&[usize]>,
+    cols: &[usize],
 ) -> Result<BTreeMap<(String, usize, String), SolveResult>> {
     // Chaos hook: the cache re-harvest is the expensive tail of every
     // update/refine; tests arm it to prove a failed harvest never
@@ -302,13 +265,9 @@ fn build_cache(
         let outs = Registry::global().solve_range(&spec, m, None, ks.clone())?;
         for (i, out) in outs.into_iter().enumerate() {
             let arr = out.selection.objective.unwrap_or(f64::NAN);
-            let indices = match cols {
-                Some(cols) => to_original(&out.selection.indices, cols),
-                None => out.selection.indices,
-            };
             cache.insert(
                 (solver.name().to_string(), ks.start() + i, fingerprint.to_string()),
-                SolveResult { indices, arr },
+                SolveResult { indices: to_original(&out.selection.indices, cols), arr },
             );
         }
     }
@@ -348,63 +307,49 @@ impl DatasetService {
                 message: format!("must be in (0, 1), got {}", opts.sigma),
             });
         }
-        opts.reduce.validate()?;
-        let reduction = if opts.reduce.is_none() {
-            None
-        } else {
-            let r = Reduction::compute(dataset, opts.reduce)?;
-            if hi > r.kept().len() {
-                return Err(FamError::InvalidParameter {
-                    name: "cache_k",
-                    message: format!(
-                        "cache range {lo}..={hi} exceeds the {} points the `{}` reduction \
-                         kept of dataset `{name}`; relax reduce_eps or lower the range",
-                        r.kept().len(),
-                        r.fingerprint()
-                    ),
-                });
-            }
-            Some(r)
-        };
-        // Budget the *resident* footprint: on a reduced build that is the
-        // kept universe only — the tiled scoring pass streams the full
-        // dataset in bands and never materializes the dense `N × n`.
-        let budget_points = reduction.as_ref().map_or(dataset.len(), |r| r.kept().len());
-        check_matrix_budget(opts.samples, budget_points)?;
+        let reduction = Reduction::compute(dataset, opts.reduce)?;
+        if hi > reduction.kept().len() {
+            return Err(FamError::InvalidParameter {
+                name: "cache_k",
+                message: format!(
+                    "cache range {lo}..={hi} exceeds the {} points the `{}` reduction \
+                     kept of dataset `{name}`; relax reduce_eps or lower the range",
+                    reduction.kept().len(),
+                    reduction.fingerprint()
+                ),
+            });
+        }
+        // Budget the *resident* footprint: the kept universe only — the
+        // tiled scoring pass streams the full dataset in bands and never
+        // materializes the dense `N × n`.
+        check_matrix_budget(opts.samples, reduction.kept().len())?;
         let dist = opts.dist.build(dataset.dim())?;
         let mut rng = StdRng::seed_from_u64(opts.seed);
         let functions: Vec<Arc<dyn UtilityFunction>> =
             (0..opts.samples).map(|_| dist.sample(&mut rng)).collect();
-        let (matrix, mirror, reduced) = match reduction {
-            None => {
-                (ScoreMatrix::from_functions(dataset, &functions, None)?, dataset.clone(), None)
-            }
-            Some(reduction) => {
-                let (matrix, stats) =
-                    ScoreMatrix::from_functions_tiled(dataset, &functions, None, reduction.kept())?;
-                let mirror = reduction.restrict_dataset(dataset)?;
-                let cols = reduction.kept().to_vec();
-                let state = ReducedResident {
-                    spec: opts.reduce,
-                    reduction,
-                    full: dataset.clone(),
-                    cols,
-                    stats,
-                };
-                (matrix, mirror, Some(state))
-            }
+        // Nothing pruned: every sample's best is kept, so the shortfall
+        // is zero and the dense build skips the tiled pass's full sweep.
+        let (matrix, stats) = if reduction.kept().len() == dataset.len() {
+            let stats = TiledBuildStats {
+                source_points: dataset.len(),
+                kept_points: dataset.len(),
+                max_shortfall: 0.0,
+                mean_shortfall: 0.0,
+            };
+            (ScoreMatrix::from_functions(dataset, &functions, None)?, stats)
+        } else {
+            ScoreMatrix::from_functions_tiled(dataset, &functions, None, reduction.kept())?
         };
-        let fingerprint =
-            reduced.as_ref().map_or_else(|| "none".to_string(), |r| r.reduction.fingerprint());
+        let cols = reduction.kept().to_vec();
         let cache = build_cache(
             &matrix,
             &opts.cache_k,
             &Deadline::none(),
-            &fingerprint,
-            reduced.as_ref().map(|r| r.cols.as_slice()),
+            &reduction.fingerprint(),
+            &cols,
         )?;
         let initial = cache
-            .get(&("add-greedy".to_string(), hi, fingerprint))
+            .get(&("add-greedy".to_string(), hi, reduction.fingerprint()))
             .ok_or_else(|| {
                 FamError::unsupported(
                     "add-greedy",
@@ -417,17 +362,14 @@ impl DatasetService {
         // Cache entries hold original ids; the engine lives in the
         // reduced universe (at build time `cols` is the sorted kept list,
         // so the reduction's own remap applies).
-        let initial = match &reduced {
-            Some(r) => r.reduction.to_reduced(&initial)?,
-            None => initial,
-        };
+        let initial = reduction.to_reduced(&initial)?;
         let engine = DynamicEngine::new(matrix, hi, &initial)?;
         Ok(DatasetService {
             name: name.to_string(),
             dim: dataset.dim(),
             functions,
             engine,
-            dataset: mirror,
+            dataset: reduction.restrict_dataset(dataset)?,
             cache,
             cache_k: opts.cache_k.clone(),
             updates: 0,
@@ -436,7 +378,10 @@ impl DatasetService {
             rng,
             sigma: opts.sigma,
             refines: 0,
-            reduced,
+            reduction,
+            full: dataset.clone(),
+            cols,
+            stats,
         })
     }
 
@@ -496,29 +441,26 @@ impl DatasetService {
     /// (`"none"` for an unreduced service) — the third component of
     /// every cache key.
     pub fn reduction_fingerprint(&self) -> String {
-        self.reduced.as_ref().map_or_else(|| "none".to_string(), |r| r.reduction.fingerprint())
+        self.reduction.fingerprint()
     }
 
     /// Points in the full (source) database: equals
     /// [`DatasetService::n_points`] on an unreduced service, the live
     /// full-universe size on a reduced one.
     pub fn source_points(&self) -> usize {
-        self.reduced.as_ref().map_or_else(|| self.n_points(), |r| r.full.len())
+        self.full.len()
     }
 
     /// The build-time tiled-scoring shortfall stats of a reduced
     /// service (`None` when unreduced).
     pub fn reduce_stats(&self) -> Option<TiledBuildStats> {
-        self.reduced.as_ref().map(|r| r.stats)
+        (!self.reduction.spec().is_none()).then_some(self.stats)
     }
 
     /// The resident warm-repaired selection (maintained at the top of the
     /// cache range), in original point ids.
     pub fn resident_selection(&self) -> Vec<usize> {
-        match &self.reduced {
-            Some(r) => to_original(&self.engine.selection(), &r.cols),
-            None => self.engine.selection(),
-        }
+        to_original(&self.engine.selection(), &self.cols)
     }
 
     /// `arr` of the resident selection.
@@ -616,19 +558,17 @@ impl DatasetService {
         // stack reductions with undeclared semantics; on an unreduced
         // service it flows straight through the registry's own
         // reduction stage below.
-        if spec.params.reduce != ReduceKind::None {
-            if let Some(r) = &self.reduced {
-                return Err(FamError::InvalidParameter {
-                    name: "reduce",
-                    message: format!(
-                        "dataset `{}` was reduced at build time (`{}`); per-request \
-                         reduction is unavailable — drop the reduce parameter or serve \
-                         the dataset unreduced",
-                        self.name,
-                        r.reduction.fingerprint()
-                    ),
-                });
-            }
+        if spec.params.reduce != ReduceKind::None && !self.reduction.spec().is_none() {
+            return Err(FamError::InvalidParameter {
+                name: "reduce",
+                message: format!(
+                    "dataset `{}` was reduced at build time (`{}`); per-request \
+                     reduction is unavailable — drop the reduce parameter or serve \
+                     the dataset unreduced",
+                    self.name,
+                    self.reduction.fingerprint()
+                ),
+            });
         }
         let spec = if spec.params.epsilon.is_some() || spec.params.sigma != DEFAULT_SIGMA {
             // `sigma` without `epsilon` is inert — normalize it away too,
@@ -679,29 +619,28 @@ impl DatasetService {
             // estimate the sampled arr; evaluate their selection fresh.
             _ => regret::arr(m, &out.selection.indices)?,
         };
-        let indices = match &self.reduced {
-            Some(r) => to_original(&out.selection.indices, &r.cols),
-            None => out.selection.indices,
-        };
+        let indices = to_original(&out.selection.indices, &self.cols);
         Ok((SolveResult { indices, arr }, false))
     }
 
     /// Translates an original-universe selection to the engine's column
-    /// space on a reduced service (identity on an unreduced one).
+    /// space.
     fn to_engine_columns(&self, selection: &[usize]) -> Result<Vec<usize>> {
-        let Some(r) = &self.reduced else { return Ok(selection.to_vec()) };
         selection
             .iter()
             .map(|&id| {
-                r.cols.iter().position(|&c| c == id).ok_or_else(|| FamError::InvalidParameter {
+                if id >= self.full.len() {
+                    return Err(FamError::IndexOutOfBounds { index: id, len: self.full.len() });
+                }
+                self.cols.iter().position(|&c| c == id).ok_or_else(|| FamError::InvalidParameter {
                     name: "selection",
                     message: format!(
                         "point {id} is not in the candidate set the `{}` reduction kept \
                          of dataset `{}` ({} of {} points)",
-                        r.reduction.fingerprint(),
+                        self.reduction.fingerprint(),
                         self.name,
-                        r.cols.len(),
-                        r.full.len()
+                        self.cols.len(),
+                        self.full.len()
                     ),
                 })
             })
@@ -784,72 +723,21 @@ impl DatasetService {
             }
         }
         deadline.check()?;
-        if self.reduced.is_some() {
-            return self.apply_ops_reduced(&deletes, &inserted_coords, deadline);
-        }
-        let mut batch = UpdateBatch::default();
-        for coords in &inserted_coords {
-            batch
-                .insert
-                .push(self.functions.iter().map(|f| f.utility(usize::MAX, coords)).collect());
-        }
-        batch.delete = deletes;
-        let report = self.engine.apply_with(&batch, warm_repair)?;
-        self.dataset =
-            permuted_dataset(&self.dataset, &report.remap, &inserted_coords, self.updates)?;
-        self.cache = build_cache(self.engine.matrix(), &self.cache_k, deadline, "none", None)?;
-        self.updates += 1;
-        Ok(UpdateSummary { report, cache_entries: self.cache.len() })
-    }
-
-    /// The reduced service's update path. Ops address the **full**
-    /// universe (delete indices refer to the pre-batch full point set,
-    /// in the same swap-remove order as the unreduced engine): the full
-    /// coordinate mirror is updated first, the reduction is repaired
-    /// incrementally ([`Reduction::repair`] — a deleted kept member
-    /// forces a fresh recompute, everything else is bookkeeping plus a
-    /// dominance pass over the appended points), and the *difference*
-    /// between the old and new kept sets is translated into an engine
-    /// batch: evicted members become engine deletes, newly kept points
-    /// (appended survivors, or re-derived coreset picks) become engine
-    /// inserts scored under the resident user population.
-    fn apply_ops_reduced(
-        &mut self,
-        deletes: &[usize],
-        inserts: &[&[f64]],
-        deadline: &Deadline,
-    ) -> Result<UpdateSummary> {
-        let (new_full, new_reduction, col_survivor) = {
-            // fam-lint: allow(P001) -- apply_ops_within dispatches here only when self.reduced is Some, and no path clears it
-            let red = self.reduced.as_ref().expect("reduced service");
-            let n_full = red.full.len();
-            let remap = swap_remove_remap(n_full, deletes)?;
-            let survivors = n_full - deletes.len();
-            let appended = survivors..survivors + inserts.len();
-            let mut rows: Vec<Vec<f64>> = vec![Vec::new(); survivors + inserts.len()];
-            for (old, slot) in remap.iter().enumerate() {
-                if let Some(s) = slot {
-                    // fam-lint: allow(P001) -- swap-remove slots enumerate survivors, all < survivors <= rows.len()
-                    rows[*s as usize] = red.full.point(old).to_vec();
-                }
-            }
-            for (j, coords) in inserts.iter().enumerate() {
-                // fam-lint: allow(P001) -- rows was sized survivors + inserts.len(), so survivors + j is in bounds
-                rows[survivors + j] = coords.to_vec();
-            }
-            let new_full = Dataset::from_rows(rows)?;
-            let new_reduction = match red.reduction.repair(&new_full, &remap, appended)? {
-                ReductionRepair::Repaired(r) => r,
-                ReductionRepair::Recompute => Reduction::compute(&new_full, red.spec)?,
-            };
-            // Engine column -> new full id (`None` = that point died).
-            let col_survivor: Vec<Option<usize>> = red
-                .cols
-                .iter()
-                // fam-lint: allow(P001) -- cols entries are full-universe ids < n_full == remap.len()
-                .map(|&c| remap[c].map(|s| s as usize))
-                .collect();
-            (new_full, new_reduction, col_survivor)
+        // Ops address the **full** universe (delete indices refer to the
+        // pre-batch full point set, in the engine's swap-remove order):
+        // the full coordinates are updated first, the reduction is
+        // repaired incrementally ([`Reduction::repair`] — a deleted kept
+        // skyline member forces a fresh recompute), and the *difference*
+        // between the old and new kept sets becomes the engine batch:
+        // evicted members become engine deletes, newly kept points
+        // (appended survivors, or re-derived coreset picks) become engine
+        // inserts scored under the resident user population.
+        let remap = swap_remove_remap(self.full.len(), &deletes)?;
+        let new_full = permuted_dataset(&self.full, &remap, &inserted_coords, self.updates)?;
+        let appended = new_full.len() - inserted_coords.len()..new_full.len();
+        let new_reduction = match self.reduction.repair(&new_full, &remap, appended)? {
+            ReductionRepair::Repaired(r) => r,
+            ReductionRepair::Recompute => Reduction::compute(&new_full, self.reduction.spec())?,
         };
         let hi = *self.cache_k.end();
         if new_reduction.kept().len() < hi {
@@ -866,10 +754,12 @@ impl DatasetService {
         }
         let kept = new_reduction.kept();
         let mut batch = UpdateBatch::default();
-        let mut col_after: Vec<Option<usize>> = Vec::with_capacity(col_survivor.len());
-        for (p, slot) in col_survivor.iter().enumerate() {
-            match slot {
-                Some(nid) if kept.binary_search(nid).is_ok() => col_after.push(Some(*nid)),
+        // Engine column -> new full id (`None` = the batch drops it).
+        let mut col_after: Vec<Option<usize>> = Vec::with_capacity(self.cols.len());
+        for (p, &c) in self.cols.iter().enumerate() {
+            // fam-lint: allow(P001) -- cols entries are full-universe ids < n_full == remap.len()
+            match remap[c].map(|s| s as usize) {
+                Some(nid) if kept.binary_search(&nid).is_ok() => col_after.push(Some(nid)),
                 _ => {
                     batch.delete.push(p);
                     col_after.push(None);
@@ -883,15 +773,14 @@ impl DatasetService {
         };
         let added_ids: Vec<usize> =
             kept.iter().copied().filter(|id| resident.binary_search(id).is_err()).collect();
-        for &nid in &added_ids {
-            let coords = new_full.point(nid);
+        let added_coords: Vec<&[f64]> = added_ids.iter().map(|&nid| new_full.point(nid)).collect();
+        for coords in &added_coords {
             batch
                 .insert
                 .push(self.functions.iter().map(|f| f.utility(usize::MAX, coords)).collect());
         }
         deadline.check()?;
         let mut report = self.engine.apply_with(&batch, warm_repair)?;
-        let added_coords: Vec<&[f64]> = added_ids.iter().map(|&nid| new_full.point(nid)).collect();
         self.dataset = permuted_dataset(&self.dataset, &report.remap, &added_coords, self.updates)?;
         let mut new_cols = vec![usize::MAX; report.n_points];
         for (p, slot) in report.remap.iter().enumerate() {
@@ -904,32 +793,24 @@ impl DatasetService {
             // fam-lint: allow(P001) -- inserted_range.start + j < report.n_points == new_cols.len() by the engine append contract
             new_cols[report.inserted_range.start + j] = nid;
         }
-        {
-            // fam-lint: allow(P001) -- same dispatch invariant: self.reduced is Some on this path
-            let red = self.reduced.as_mut().expect("reduced service");
-            red.full = new_full;
-            red.reduction = new_reduction;
-            red.cols = new_cols;
-        }
-        let fingerprint = self.reduction_fingerprint();
-        let cols = self.reduced.as_ref().map(|r| r.cols.clone());
+        self.full = new_full;
+        self.reduction = new_reduction;
+        self.cols = new_cols;
         self.cache = build_cache(
             self.engine.matrix(),
             &self.cache_k,
             deadline,
-            &fingerprint,
-            cols.as_deref(),
+            &self.reduction.fingerprint(),
+            &self.cols,
         )?;
         self.updates += 1;
         // The client-facing report counts the *client's* full-universe
         // ops and answers in original ids; the repair fields keep
         // describing the engine-side (kept-universe) work.
-        report.inserted = inserts.len();
+        report.inserted = inserted_coords.len();
         report.deleted = deletes.len();
-        // fam-lint: allow(P001) -- same dispatch invariant: self.reduced is Some on this path
-        let red = self.reduced.as_ref().expect("reduced service");
-        report.selection = to_original(&report.selection, &red.cols);
-        report.kept = to_original(&report.kept, &red.cols);
+        report.selection = to_original(&report.selection, &self.cols);
+        report.kept = to_original(&report.kept, &self.cols);
         Ok(UpdateSummary { report, cache_entries: self.cache.len() })
     }
 
@@ -1077,14 +958,12 @@ impl DatasetService {
         // drop the cache entirely — misses fall through to (correct)
         // cold solves — rather than serve stale answers.
         self.cache.clear();
-        let fingerprint = self.reduction_fingerprint();
-        let cols = self.reduced.as_ref().map(|r| r.cols.clone());
         self.cache = build_cache(
             self.engine.matrix(),
             &self.cache_k,
             deadline,
-            &fingerprint,
-            cols.as_deref(),
+            &self.reduction.fingerprint(),
+            &self.cols,
         )?;
         self.sigma = sigma;
         self.refines += 1;
@@ -1665,5 +1544,96 @@ mod tests {
         // An invalid coreset eps is rejected before any work happens.
         let opts = ServeOptions { reduce: ReduceSpec::coreset(0.0), ..options() };
         assert!(DatasetService::build("tiny", &ds, &opts).is_err());
+    }
+
+    /// FNV-1a step over one 64-bit word.
+    fn fnv(h: &mut u64, v: u64) {
+        for b in v.to_le_bytes() {
+            *h ^= u64::from(b);
+            *h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    /// Digest of every cache entry: its key, its indices and its `arr` bits.
+    fn cache_digest(svc: &DatasetService) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325;
+        for ((algo, k, fingerprint), res) in &svc.cache {
+            for b in algo.bytes().chain(fingerprint.bytes()) {
+                fnv(&mut h, u64::from(b));
+            }
+            fnv(&mut h, *k as u64);
+            for &i in &res.indices {
+                fnv(&mut h, i as u64);
+            }
+            fnv(&mut h, res.arr.to_bits());
+        }
+        h
+    }
+
+    /// Pins an unreduced service (the `none` reduction on the shared
+    /// update path) bit for bit over a seeded stream of mixed batches and
+    /// a refine. The expected values were recorded from a service whose
+    /// unreduced updates went straight to the engine.
+    #[test]
+    fn unreduced_trajectory_is_pinned() {
+        use rand::Rng;
+        // (resident selection, resident arr bits, n_points, cache digest)
+        // after each of ten seeded update batches and one refine.
+        let expected: &[(&[usize], u64, usize, u64)] = &[
+            (&[21, 27, 35, 39], 0x3fa7b21291983264, 40, 0xae35808f27592f38),
+            (&[27, 35, 38, 39], 0x3f75d3db5101d0e4, 40, 0x9e21c04b6cd1d835),
+            (&[27, 35, 38, 41], 0x3f754841886bca63, 42, 0x947f9f63d08c1654),
+            (&[27, 35, 38, 40], 0x3f75d3db5101d0ba, 41, 0x9e21c04b6cd1d835),
+            (&[27, 35, 38, 42], 0x3f75d3db5101d0ba, 43, 0x9e21c04b6cd1d835),
+            (&[27, 35, 38, 43], 0x3f75d3db5101d0ba, 44, 0x9e21c04b6cd1d835),
+            (&[27, 35, 38, 43], 0x3fb0b35f64d01b3f, 44, 0xf09e4d67f78ef66a),
+            (&[27, 35, 42, 43], 0x3faff13bf1a0a5f1, 44, 0x7c20ebf3812c6838),
+            (&[27, 35, 43, 45], 0x3fb3081b392e4f56, 46, 0xbcfc8246447e2741),
+            (&[27, 35, 43, 44], 0x3fb4158c250fe605, 45, 0x253092cf0bba4a28),
+            (&[17, 20, 41, 44], 0x3f878d0e6847c863, 45, 0x75d46a3e51e7cf86),
+        ];
+        let mut svc = DatasetService::build("pin", &dataset(40), &options()).unwrap();
+        let mut rng = StdRng::seed_from_u64(2024);
+        let mut seen = Vec::new();
+        for batch in 0..10 {
+            let n = svc.n_points();
+            let mut deletes = Vec::new();
+            if batch % 3 == 0 {
+                // Every third batch deletes a member of the resident selection.
+                deletes.push(svc.resident_selection()[batch % 4]);
+            }
+            while deletes.len() < 1 + batch % 2 {
+                let d = rng.gen_range(0..n);
+                if !deletes.contains(&d) {
+                    deletes.push(d);
+                }
+            }
+            let mut ops: Vec<UpdateOp> = deletes.into_iter().map(UpdateOp::Delete).collect();
+            for _ in 0..1 + batch % 3 {
+                ops.push(UpdateOp::Insert((0..3).map(|_| rng.gen_range(0.0..1.0)).collect()));
+            }
+            if batch == 4 {
+                // A dominated insert: a point near the origin.
+                ops.push(UpdateOp::Insert(vec![0.001, 0.002, 0.001]));
+            }
+            svc.apply_ops(&ops).unwrap();
+            seen.push((
+                svc.resident_selection(),
+                svc.resident_arr().to_bits(),
+                svc.n_points(),
+                cache_digest(&svc),
+            ));
+        }
+        svc.refine(0.15, 0.1).unwrap();
+        seen.push((
+            svc.resident_selection(),
+            svc.resident_arr().to_bits(),
+            svc.n_points(),
+            cache_digest(&svc),
+        ));
+        assert_eq!(seen.len(), expected.len());
+        for (step, (want, got)) in expected.iter().zip(&seen).enumerate() {
+            assert_eq!(*want, (got.0.as_slice(), got.1, got.2, got.3), "step {step}");
+        }
     }
 }
